@@ -557,18 +557,16 @@ func runCoalescePoint(spec harness.EngineSpec, batch int, seed uint64) (txkvclie
 	srv, err := txkvserver.Start("127.0.0.1:0", txkvserver.Config{
 		Engine: spec, Keys: 1024,
 		WALDir: dir, WALSync: wal.SyncGroup,
-		Pipeline: 32, CoalesceBatch: batch, CoalesceWait: time.Millisecond,
+		Pipeline: 32, CoalesceBatch: batch,
 	})
 	if err != nil {
 		return txkvclient.Result{}, err
 	}
 	defer srv.Close()
 	// The point is amortization at equal offered load: a rate both
-	// twins sustain, a gather window (1ms) long enough that the
-	// coalesced twin's log frames arrive sparser than the group-fsync
-	// cadence. The uncoalesced twin publishes one frame per write and
-	// keeps the syncer saturated; the coalesced twin folds a batch into
-	// one commit and one frame, so both ratios drop.
+	// twins sustain. Both the batchers and the log are self-clocked, so
+	// the coalesced twin folds whatever queued during the previous
+	// flush into one commit and one frame.
 	res, err := txkvclient.Run(txkvclient.LoadConfig{
 		Addr: srv.Addr().String(), Mix: txkv.UpdateHeavy, Conns: 4,
 		Keys: 1024, Ops: 8000, Rate: 20000, Seed: seed,

@@ -86,7 +86,6 @@ func run(kind string) error {
 		WALSync:       wal.SyncGroup,
 		Pipeline:      16,
 		CoalesceBatch: 16,
-		CoalesceWait:  200 * time.Microsecond,
 	})
 	if err != nil {
 		return fmt.Errorf("start server: %w", err)

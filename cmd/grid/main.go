@@ -63,11 +63,9 @@ type gridExperiment struct {
 	// window. CoalesceBatch is a grid axis like Conns: each entry is a
 	// per-shard batch size for the launched server (0 = coalescing off),
 	// defaulting to [0] when absent, so on/off twins of the same cell
-	// land in the same CSV. CoalesceWaitUs is the batch wait in µs
-	// (default 200).
-	Pipeline       int   `json:"pipeline"`
-	CoalesceBatch  []int `json:"coalesce_batch"`
-	CoalesceWaitUs int   `json:"coalesce_wait_us"`
+	// land in the same CSV.
+	Pipeline      int   `json:"pipeline"`
+	CoalesceBatch []int `json:"coalesce_batch"`
 }
 
 func main() {
@@ -166,11 +164,7 @@ func coalesceAxis(exp gridExperiment) []int {
 // runCell launches a fresh in-process server for one grid cell, drives
 // it over TCP, and returns the cell's record plus any oracle failure.
 func runCell(cfg gridConfig, spec harness.EngineSpec, exp gridExperiment, wl string, mix txkv.Mix, nc int, rate float64, cb int, ops uint64, rep int) (results.Record, error, error) {
-	scfg := txkvserver.Config{Engine: spec, Keys: cfg.Keys, CoalesceBatch: cb}
-	if exp.CoalesceWaitUs > 0 {
-		scfg.CoalesceWait = time.Duration(exp.CoalesceWaitUs) * time.Microsecond
-	}
-	srv, err := txkvserver.Start("127.0.0.1:0", scfg)
+	srv, err := txkvserver.Start("127.0.0.1:0", txkvserver.Config{Engine: spec, Keys: cfg.Keys, CoalesceBatch: cb})
 	if err != nil {
 		return results.Record{}, nil, fmt.Errorf("launch: %w", err)
 	}

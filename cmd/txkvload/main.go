@@ -60,14 +60,13 @@ func main() {
 		outDir   = flag.String("out", "", "directory for result files (default txkvload_runs for csv/jsonl)")
 		name     = flag.String("name", "txkvload", "result file base name")
 		walDir   = flag.String("wal", "", "launch mode: durable commit log directory for the launched server (a fresh subdirectory per point; off when empty)")
-		fsync    = flag.String("fsync", "group", "launch mode: commit log durability, always | group | none")
+		fsync    = flag.String("fsync", "group", "launch mode: commit log durability, group | none (always = group)")
 		timeout  = flag.Duration("timeout", 0, "per-request client deadline (0 = none)")
 		retries  = flag.Int("retries", 0, "per-request retry budget for retryable shed replies and transport failures (0 = fail fast)")
 		retryMut = flag.Bool("retry-mutations", false, "opt mutations into transport-failure retry (at-least-once)")
 		budget   = flag.Duration("budget", 0, "per-request deadline budget propagated to the server as the wire TTL (0 = none)")
 		pipeline = flag.Int("pipeline", 0, "per-connection in-flight window; >1 switches the client to pipelined mode (sheds counted, not retried)")
 		coBatch  = flag.Int("coalesce-batch", 0, "launch mode: per-shard commit coalescing batch size for the launched server (0 = off)")
-		coWait   = flag.Duration("coalesce-wait", 200*time.Microsecond, "launch mode: commit coalescing max batch wait for the launched server")
 	)
 	flag.Parse()
 	if !results.KnownFormat(*format) {
@@ -155,7 +154,7 @@ func main() {
 						if *launch {
 							scfg := txkvserver.Config{
 								Engine: spec, Keys: *keys,
-								CoalesceBatch: *coBatch, CoalesceWait: *coWait,
+								CoalesceBatch: *coBatch,
 							}
 							if *walDir != "" {
 								// A fresh log directory per point: replaying a

@@ -44,7 +44,7 @@ func main() {
 		threads  = flag.Int("threads", 8, "engine thread pool size")
 		admin    = flag.String("admin", "", "admin HTTP listen address for /metrics, /statz and /debug/pprof (off when empty; bind to loopback — unauthenticated)")
 		walDir   = flag.String("wal", "", "durable commit log directory (off when empty; an existing log is replayed before serving)")
-		fsync    = flag.String("fsync", "group", "commit log durability: always | group | none")
+		fsync    = flag.String("fsync", "group", "commit log durability: group | none (always = group)")
 		readTO   = flag.Duration("read-timeout", 0, "per-connection idle read timeout (0 = no limit)")
 		writeTO  = flag.Duration("write-timeout", 30*time.Second, "per-reply write timeout (0 = no limit)")
 		portFile = flag.String("portfile", "", "write the bound data address to this file once listening (for harnesses using :0)")
@@ -53,7 +53,6 @@ func main() {
 		maxWait  = flag.Duration("max-queue-wait", 0, "bound on one request's wait for an engine thread before it is shed Overloaded (0 = unlimited)")
 		pipeline = flag.Int("pipeline", 16, "per-connection in-flight request window (1 = strict request/reply)")
 		coBatch  = flag.Int("coalesce-batch", 0, "per-shard commit coalescing: max single-key ops per batched transaction (0 = off)")
-		coWait   = flag.Duration("coalesce-wait", 200*time.Microsecond, "commit coalescing: max time the first queued op waits for a batch to fill")
 	)
 	flag.Parse()
 	switch *engine {
@@ -83,7 +82,6 @@ func main() {
 		MaxQueueWait:  *maxWait,
 		Pipeline:      *pipeline,
 		CoalesceBatch: *coBatch,
-		CoalesceWait:  *coWait,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "txkvserver:", err)

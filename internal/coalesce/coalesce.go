@@ -2,10 +2,12 @@
 // group commits (DESIGN.md §14).
 //
 // Each shard owns a channel batcher and a dedicated engine thread: the
-// batcher absorbs items routed by shard affinity and flushes when
-// either batchSize items are pending or maxWait has elapsed since the
-// first item of the batch. A flush executes every item of the batch
-// inside ONE v2 engine transaction on the shard's worker thread and —
+// batcher absorbs items routed by shard affinity, and its worker blocks
+// for the first item, takes whatever else is already queued (up to
+// BatchSize) and flushes. Batching is self-clocked — a batch is what
+// queued up while the previous flush ran — so a lone item never waits
+// for company. A flush executes every item of the batch inside ONE v2
+// engine transaction on the shard's worker thread and —
 // when anything mutated — publishes ONE commit-log frame and ONE
 // change-feed publish for the whole batch, amortizing the engine
 // commit, the WAL ticket/fsync path, and the feed sequencing across
@@ -109,13 +111,9 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 
 // Config tunes the batchers.
 type Config struct {
-	// BatchSize flushes a batch once this many items are pending
+	// BatchSize caps the items one flush takes from the queue
 	// (default 32).
 	BatchSize int
-	// MaxWait flushes an incomplete batch this long after its first
-	// item arrived (default 200µs) — the latency bound a lone item
-	// pays for company.
-	MaxWait time.Duration
 	// QueueCap bounds each shard's pending items; an enqueue beyond
 	// it is shed with Overloaded (default max(4×BatchSize, 256)).
 	QueueCap int
@@ -129,9 +127,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.BatchSize <= 0 {
 		c.BatchSize = 32
-	}
-	if c.MaxWait <= 0 {
-		c.MaxWait = 200 * time.Microsecond
 	}
 	if c.QueueCap <= 0 {
 		c.QueueCap = 4 * c.BatchSize
@@ -212,6 +207,16 @@ func (c *Coalescer) Enqueue(it *Item) (code txkvwire.Code, errMsg string) {
 	}
 }
 
+// Pending reports the items queued on every shard but not yet taken
+// by a flush.
+func (c *Coalescer) Pending() int {
+	n := 0
+	for _, sh := range c.qs {
+		n += len(sh.in)
+	}
+	return n
+}
+
 // Stats sums the engine counters of every shard worker's thread (the
 // commits/aborts the flush transactions burned). Each worker's mirror
 // refreshes after its flushes, so the sum lags by at most the flushes
@@ -247,16 +252,14 @@ func (sh *shardQ) isClosed() bool {
 	return sh.closed
 }
 
-// worker owns one shard: gather a batch (first item blocks, then up
-// to BatchSize items or MaxWait, whichever first), flush, repeat.
+// worker owns one shard: block for the first item, take what is
+// already queued without waiting (up to BatchSize), flush, repeat. The
+// worker is the queue's only receiver, so a non-empty queue never
+// blocks it.
 func (c *Coalescer) worker(shard int, th stm.Thread) {
 	defer c.wg.Done()
 	sh := c.qs[shard]
 	fl := &flusher{c: c, shard: shard, th: th}
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
 	batch := make([]*Item, 0, c.cfg.BatchSize)
 	for {
 		it, ok := <-sh.in
@@ -264,22 +267,8 @@ func (c *Coalescer) worker(shard int, th stm.Thread) {
 			return
 		}
 		batch = append(batch[:0], it)
-		timer.Reset(c.cfg.MaxWait)
-		open, armed := true, true
-	gather:
-		for open && len(batch) < c.cfg.BatchSize {
-			select {
-			case it, ok := <-sh.in:
-				if !ok {
-					break gather
-				}
-				batch = append(batch, it)
-			case <-timer.C:
-				open, armed = false, false
-			}
-		}
-		if armed && !timer.Stop() {
-			<-timer.C
+		for len(batch) < c.cfg.BatchSize && len(sh.in) > 0 {
+			batch = append(batch, <-sh.in)
 		}
 		// Anything still pending when shutdown began is refused, not
 		// executed: the drain contract (DESIGN.md §14.3).

@@ -1,6 +1,7 @@
 package coalesce_test
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -11,19 +12,25 @@ import (
 	"swisstm/internal/stm"
 	"swisstm/internal/txkv"
 	"swisstm/internal/txkvwire"
+	"swisstm/internal/wal"
 )
 
 // testRig is one engine + store + coalescer with a private metrics set.
 type testRig struct {
-	store *txkv.Store
-	th    stm.Thread // spare thread for direct store access
-	co    *coalesce.Coalescer
-	m     *coalesce.Metrics
-	feeds []*coalesce.Feed
+	store  *txkv.Store
+	th     stm.Thread // spare thread for direct store access
+	co     *coalesce.Coalescer
+	m      *coalesce.Metrics
+	feeds  []*coalesce.Feed
+	fs     *wal.FaultFS // the commit log's FS: Hold stalls its next fsync
+	unhold func()       // releases the current hold, if any
 }
 
 // newRig builds a coalescer over a fresh store with one dedicated
-// engine thread per shard. withFeeds attaches a per-shard change feed.
+// engine thread per shard and a group-fsync commit log, so a test can
+// hold a mutating flush inside its fsync (see hold). withFeeds
+// attaches a per-shard change feed. Cleanup releases any hold, then
+// closes the coalescer and the log.
 func newRig(t *testing.T, kind string, cfg coalesce.Config, withFeeds bool) *testRig {
 	t.Helper()
 	e := harness.EngineSpec{Kind: kind, Manager: "polka"}.New()
@@ -42,8 +49,45 @@ func newRig(t *testing.T, kind string, cfg coalesce.Config, withFeeds bool) *tes
 			feeds[i] = coalesce.NewFeed(0, nil)
 		}
 	}
-	co := coalesce.New(store, threads, nil, feeds, cfg)
-	return &testRig{store: store, th: th, co: co, m: m, feeds: feeds}
+	fs := &wal.FaultFS{Base: wal.OSFS{}}
+	log, err := wal.Open(wal.Options{Dir: t.TempDir(), FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &testRig{store: store, th: th, m: m, feeds: feeds, fs: fs, unhold: func() {}}
+	r.co = coalesce.New(store, threads, log, feeds, cfg)
+	t.Cleanup(func() {
+		r.unhold()
+		r.co.Close()
+		log.Close()
+	})
+	return r
+}
+
+// hold parks key's shard worker inside a flush: it enqueues a put of
+// key and waits until that flush's fsync is stalled. Items enqueued for
+// the shard meanwhile queue up behind it, so the worker's next flush
+// takes them together — deterministic batches without a wait window.
+// The returned release lets the fsync finish and awaits the put. The
+// holding put counts as one batch and one item in the metrics.
+func (r *testRig) hold(t *testing.T, key stm.Word) (release func()) {
+	t.Helper()
+	held, unblock := r.fs.Hold()
+	r.unhold = unblock
+	it := coalesce.NewItem(coalesce.OpPut, key, 1, 0, time.Time{})
+	r.enqueue(t, it)
+	select {
+	case <-held:
+	case <-time.After(10 * time.Second):
+		t.Fatal("holding flush never reached its fsync")
+	}
+	return func() {
+		t.Helper()
+		unblock()
+		if res := await(t, it); res.Err != "" || !res.OK {
+			t.Fatalf("holding put: %+v", res)
+		}
+	}
 }
 
 // sameShardKeys returns n distinct keys that hash to one shard.
@@ -94,46 +138,50 @@ func await(t *testing.T, it *coalesce.Item) coalesce.Result {
 	}
 }
 
-// TestBatchSizeTrigger pins the size trigger: with MaxWait effectively
-// infinite, a batch flushes exactly when BatchSize items are pending.
+// TestBatchSizeTrigger pins the size cap: of the items queued while
+// the worker was busy, one flush takes exactly BatchSize and the next
+// flush the rest.
 func TestBatchSizeTrigger(t *testing.T) {
-	r := newRig(t, "swisstm", coalesce.Config{BatchSize: 4, MaxWait: time.Hour}, false)
-	defer r.co.Close()
-	keys := r.sameShardKeys(4)
-	items := make([]*coalesce.Item, len(keys))
-	for i, k := range keys {
-		items[i] = coalesce.NewItem(coalesce.OpPut, k, stm.Word(100+i), 0, time.Time{})
+	r := newRig(t, "swisstm", coalesce.Config{BatchSize: 4}, false)
+	keys := r.sameShardKeys(6)
+	release := r.hold(t, keys[5])
+	items := make([]*coalesce.Item, 5)
+	for i := range items {
+		items[i] = coalesce.NewItem(coalesce.OpPut, keys[i], stm.Word(100+i), 0, time.Time{})
 		r.enqueue(t, items[i])
 	}
+	release()
 	for i, it := range items {
 		if res := await(t, it); res.Err != "" || !res.OK {
 			t.Fatalf("item %d: %+v", i, res)
 		}
 	}
-	if got := r.m.Batches.Load(); got != 1 {
-		t.Fatalf("flushed %d batches, want 1 (size-triggered)", got)
+	// After the holding put's batch of 1: one full batch, then the
+	// fifth item alone.
+	if got := r.m.Batches.Load(); got != 3 {
+		t.Fatalf("flushed %d batches, want 3 (hold, 4, 1)", got)
 	}
-	if got := r.m.Items.Load(); got != 4 {
-		t.Fatalf("executed %d items, want 4", got)
+	if got := r.m.Items.Load(); got != 6 {
+		t.Fatalf("executed %d items, want 6", got)
 	}
-	if h := r.m.BatchSize.Snapshot(); h.Count != 1 || h.Sum != 4 {
-		t.Fatalf("batch-size histogram count=%d sum=%d, want 1 batch of 4", h.Count, h.Sum)
+	h := r.m.BatchSize.Snapshot()
+	if h.Count != 3 || h.Buckets[obs.BucketIndex(4)] != 1 || h.Buckets[obs.BucketIndex(1)] != 2 {
+		t.Fatalf("batch-size histogram count=%d sum=%d, want batches of 1, 4 and 1", h.Count, h.Sum)
 	}
 }
 
-// TestMaxWaitTrigger pins the time trigger: a lone item flushes once
-// MaxWait elapses, well before BatchSize could fill.
-func TestMaxWaitTrigger(t *testing.T) {
-	r := newRig(t, "swisstm", coalesce.Config{BatchSize: 1000, MaxWait: 10 * time.Millisecond}, false)
-	defer r.co.Close()
+// TestLoneItemFlushesWithoutCompany pins self-clocked batching: a lone
+// item, with BatchSize far off and nothing else arriving, flushes at
+// once instead of waiting for company.
+func TestLoneItemFlushesWithoutCompany(t *testing.T) {
+	r := newRig(t, "swisstm", coalesce.Config{BatchSize: 1000}, false)
 	it := coalesce.NewItem(coalesce.OpPut, 7, 42, 0, time.Time{})
-	start := time.Now()
 	r.enqueue(t, it)
 	if res := await(t, it); res.Err != "" || !res.OK {
 		t.Fatalf("lone item: %+v", res)
 	}
-	if waited := time.Since(start); waited < 10*time.Millisecond {
-		t.Fatalf("flushed after %v, before MaxWait elapsed", waited)
+	if h := r.m.BatchSize.Snapshot(); h.Count != 1 || h.Sum != 1 {
+		t.Fatalf("batch-size histogram count=%d sum=%d, want 1 batch of 1", h.Count, h.Sum)
 	}
 	if got, ok := r.get(7); !ok || got != 42 {
 		t.Fatalf("store after flush: %d, %v", got, ok)
@@ -144,21 +192,40 @@ func TestMaxWaitTrigger(t *testing.T) {
 // items still queued when Close begins complete with Draining, and a
 // later Enqueue is refused outright.
 func TestDrainRefusesPending(t *testing.T) {
-	r := newRig(t, "swisstm", coalesce.Config{BatchSize: 1000, MaxWait: time.Hour}, false)
-	keys := r.sameShardKeys(2)
+	r := newRig(t, "swisstm", coalesce.Config{BatchSize: 1000}, false)
+	keys := r.sameShardKeys(3)
+	release := r.hold(t, keys[2])
 	a := coalesce.NewItem(coalesce.OpPut, keys[0], 1, 0, time.Time{})
 	b := coalesce.NewItem(coalesce.OpGet, keys[1], 0, 0, time.Time{})
 	r.enqueue(t, a)
 	r.enqueue(t, b)
-	r.co.Close()
-	for _, it := range []*coalesce.Item{a, b} {
+	closed := make(chan struct{})
+	go func() { r.co.Close(); close(closed) }()
+	// Close marks the shards closed before it waits for the held
+	// worker: probe until Enqueue refuses. Probes accepted before that
+	// queue behind a and b and must drain the same way.
+	pending := []*coalesce.Item{a, b}
+	for {
+		p := coalesce.NewItem(coalesce.OpGet, keys[1], 0, 0, time.Time{})
+		code, _ := r.co.Enqueue(p)
+		if code == txkvwire.CodeDraining {
+			break
+		}
+		if code == 0 {
+			pending = append(pending, p)
+		}
+		runtime.Gosched()
+	}
+	release()
+	<-closed
+	for _, it := range pending {
 		res := await(t, it)
 		if res.Code != txkvwire.CodeDraining || !res.Shed {
 			t.Fatalf("pending item at shutdown: %+v, want shed Draining", res)
 		}
 	}
-	if r.m.Drained.Load() != 2 {
-		t.Fatalf("drained counter %d, want 2", r.m.Drained.Load())
+	if got := r.m.Drained.Load(); got != uint64(len(pending)) {
+		t.Fatalf("drained counter %d, want %d", got, len(pending))
 	}
 	if code, _ := r.co.Enqueue(coalesce.NewItem(coalesce.OpGet, 1, 0, 0, time.Time{})); code != txkvwire.CodeDraining {
 		t.Fatalf("enqueue after Close: code %v, want Draining", code)
@@ -171,17 +238,18 @@ func TestDrainRefusesPending(t *testing.T) {
 // TestPerItemIsolation pins per-item error isolation inside one batch:
 // a CAS that misses fails that item only, its neighbours commit.
 func TestPerItemIsolation(t *testing.T) {
-	r := newRig(t, "swisstm", coalesce.Config{BatchSize: 3, MaxWait: time.Hour}, false)
-	defer r.co.Close()
-	keys := r.sameShardKeys(2)
+	r := newRig(t, "swisstm", coalesce.Config{BatchSize: 3}, false)
+	keys := r.sameShardKeys(3)
 	r.put(keys[1], 5)
 
+	release := r.hold(t, keys[2])
 	miss := coalesce.NewItem(coalesce.OpCAS, keys[1], 7, 999, time.Time{}) // expects 999, finds 5
 	put := coalesce.NewItem(coalesce.OpPut, keys[0], 42, 0, time.Time{})
 	hit := coalesce.NewItem(coalesce.OpCAS, keys[1], 9, 5, time.Time{}) // expects 5: swaps
 	for _, it := range []*coalesce.Item{miss, put, hit} {
 		r.enqueue(t, it)
 	}
+	release()
 	if res := await(t, miss); res.Err != "" || res.OK {
 		t.Fatalf("missing CAS: %+v, want OK=false without error", res)
 	}
@@ -191,8 +259,8 @@ func TestPerItemIsolation(t *testing.T) {
 	if res := await(t, hit); res.Err != "" || !res.OK {
 		t.Fatalf("hitting CAS: %+v", res)
 	}
-	if r.m.Batches.Load() != 1 {
-		t.Fatalf("ran %d batches, want the whole trio in 1", r.m.Batches.Load())
+	if got := r.m.Batches.Load() - 1; got != 1 { // after the holding put's
+		t.Fatalf("ran %d batches, want the whole trio in 1", got)
 	}
 	if v, _ := r.get(keys[0]); v != 42 {
 		t.Fatalf("put lost: key %d = %d", keys[0], v)
@@ -207,13 +275,18 @@ func TestPerItemIsolation(t *testing.T) {
 // queued is shed alone with DeadlineExceeded and an exact queue-phase
 // time; the rest of its batch executes and commits.
 func TestTTLExpiryShedsOnlyExpiredItem(t *testing.T) {
-	r := newRig(t, "swisstm", coalesce.Config{BatchSize: 1000, MaxWait: 20 * time.Millisecond}, false)
-	defer r.co.Close()
-	keys := r.sameShardKeys(2)
-	expired := coalesce.NewItem(coalesce.OpPut, keys[0], 1, 0, time.Now().Add(time.Millisecond))
+	r := newRig(t, "swisstm", coalesce.Config{BatchSize: 1000}, false)
+	keys := r.sameShardKeys(3)
+	release := r.hold(t, keys[2])
+	deadline := time.Now().Add(time.Millisecond)
+	expired := coalesce.NewItem(coalesce.OpPut, keys[0], 1, 0, deadline)
 	fresh := coalesce.NewItem(coalesce.OpPut, keys[1], 2, 0, time.Now().Add(time.Hour))
 	r.enqueue(t, expired)
 	r.enqueue(t, fresh)
+	for !time.Now().After(deadline) {
+		time.Sleep(time.Until(deadline))
+	}
+	release()
 
 	res := await(t, expired)
 	if res.Code != txkvwire.CodeDeadlineExceeded || !res.Shed {
@@ -234,8 +307,8 @@ func TestTTLExpiryShedsOnlyExpiredItem(t *testing.T) {
 	if r.m.Expired.Load() != 1 {
 		t.Fatalf("expired counter %d, want 1", r.m.Expired.Load())
 	}
-	if r.m.Items.Load() != 1 {
-		t.Fatalf("items counter %d, want only the fresh item", r.m.Items.Load())
+	if got := r.m.Items.Load() - 1; got != 1 { // after the holding put
+		t.Fatalf("items counter %d, want only the fresh item", got)
 	}
 }
 
@@ -243,27 +316,25 @@ func TestTTLExpiryShedsOnlyExpiredItem(t *testing.T) {
 // queue refuses beyond QueueCap with Overloaded while a flush is not
 // draining it.
 func TestQueueFullShedsOverloaded(t *testing.T) {
-	r := newRig(t, "swisstm", coalesce.Config{BatchSize: 1000, MaxWait: time.Hour, QueueCap: 4}, false)
-	keys := r.sameShardKeys(6)
+	r := newRig(t, "swisstm", coalesce.Config{BatchSize: 1000, QueueCap: 4}, false)
+	keys := r.sameShardKeys(7)
+	release := r.hold(t, keys[6])
 	accepted := 0
-	sawOverload := false
-	for _, k := range keys {
+	for _, k := range keys[:6] {
 		code, _ := r.co.Enqueue(coalesce.NewItem(coalesce.OpGet, k, 0, 0, time.Time{}))
 		switch code {
 		case 0:
 			accepted++
 		case txkvwire.CodeOverloaded:
-			sawOverload = true
 		default:
 			t.Fatalf("unexpected refusal code %v", code)
 		}
 	}
-	// The worker may have pulled up to one item out of the channel, so
-	// 4 (cap) or 5 accepts are both legal; 6 never is.
-	if !sawOverload || accepted > 5 {
-		t.Fatalf("accepted %d of 6 with QueueCap 4 (overload seen: %v)", accepted, sawOverload)
+	// The held worker takes nothing from the queue: exactly QueueCap.
+	if accepted != 4 {
+		t.Fatalf("accepted %d of 6 with QueueCap 4, want 4", accepted)
 	}
-	r.co.Close()
+	release()
 }
 
 // TestCrossEngineFeedReplayMatchesStore drives a mixed concurrent load
@@ -274,7 +345,7 @@ func TestQueueFullShedsOverloaded(t *testing.T) {
 func TestCrossEngineFeedReplayMatchesStore(t *testing.T) {
 	for _, kind := range []string{"swisstm", "tl2", "tinystm", "rstm"} {
 		t.Run(kind, func(t *testing.T) {
-			r := newRig(t, kind, coalesce.Config{BatchSize: 64, MaxWait: 5 * time.Millisecond}, true)
+			r := newRig(t, kind, coalesce.Config{BatchSize: 64}, true)
 			const (
 				producers = 4
 				perProd   = 200

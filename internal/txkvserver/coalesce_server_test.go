@@ -9,6 +9,7 @@ import (
 	"swisstm/internal/stm"
 	"swisstm/internal/txkvclient"
 	"swisstm/internal/txkvwire"
+	"swisstm/internal/wal"
 )
 
 // startCoalesced boots a server with the per-shard batchers on.
@@ -31,7 +32,7 @@ func startCoalesced(t *testing.T, kind string, keys int, cfg Config) *Server {
 // §14.5): many requests in flight on one connection, replies in exactly
 // request order.
 func TestPipelinedRepliesInOrder(t *testing.T) {
-	srv := startCoalesced(t, "swisstm", 256, Config{Pipeline: 8, CoalesceWait: 100 * time.Microsecond})
+	srv := startCoalesced(t, "swisstm", 256, Config{Pipeline: 8})
 	p, err := txkvclient.DialPipe(srv.Addr().String(), 8)
 	if err != nil {
 		t.Fatal(err)
@@ -86,7 +87,7 @@ func TestCoalescedOpsOverWire(t *testing.T) {
 	for _, kind := range engineKinds {
 		kind := kind
 		t.Run(kind, func(t *testing.T) {
-			srv := startCoalesced(t, kind, 128, Config{Pipeline: 16, CoalesceWait: 200 * time.Microsecond})
+			srv := startCoalesced(t, kind, 128, Config{Pipeline: 16})
 			p, err := txkvclient.DialPipe(srv.Addr().String(), 16)
 			if err != nil {
 				t.Fatal(err)
@@ -149,7 +150,7 @@ func TestCoalescedOpsOverWire(t *testing.T) {
 // must see every mutation of its shard exactly once, in commit order,
 // and then the clean end-of-feed.
 func TestSubscribeStreamsCommitsInOrder(t *testing.T) {
-	srv := startCoalesced(t, "tl2", 64, Config{Pipeline: 8, CoalesceWait: 100 * time.Microsecond})
+	srv := startCoalesced(t, "tl2", 64, Config{Pipeline: 8})
 	// Pick the shard of key 1 and collect every key landing there.
 	shard := srv.store.ShardOf(1)
 	var keys []uint64
@@ -229,9 +230,11 @@ func TestSubscribeStreamsCommitsInOrder(t *testing.T) {
 // whose TTL expires while queued for its flush is shed alone with
 // DeadlineExceeded; its batch-mates commit normally.
 func TestTTLExpiredInBatchShedsOnlyThatItem(t *testing.T) {
-	// A long gather window guarantees the 1µs TTL expires in-queue.
+	// A held fsync parks the shard's worker inside a flush, so the 1µs
+	// TTL expires while its request waits in the queue.
+	ffs := &wal.FaultFS{Base: wal.OSFS{}}
 	srv := startCoalesced(t, "swisstm", 64,
-		Config{Pipeline: 8, CoalesceBatch: 1000, CoalesceWait: 50 * time.Millisecond})
+		Config{Pipeline: 8, CoalesceBatch: 1000, WALDir: t.TempDir(), WALFS: ffs})
 	p, err := txkvclient.DialPipe(srv.Addr().String(), 8)
 	if err != nil {
 		t.Fatal(err)
@@ -239,20 +242,38 @@ func TestTTLExpiredInBatchShedsOnlyThatItem(t *testing.T) {
 	defer p.Close()
 
 	shard := srv.store.ShardOf(1)
-	var other uint64
-	for k := stm.Word(2); other == 0; k++ {
+	var others []uint64
+	for k := stm.Word(2); len(others) < 2; k++ {
 		if srv.store.ShardOf(k) == shard {
-			other = uint64(k)
+			others = append(others, uint64(k))
 		}
 	}
+	other, holder := others[0], others[1]
+	held, release := ffs.Hold()
+	defer release()
+	if err := p.Submit(txkvwire.Req{Op: txkvwire.OpPut, Key: holder, Val: 9}, "holder", true, true); err != nil {
+		t.Fatal(err)
+	}
+	<-held
 	if err := p.Submit(txkvwire.Req{Op: txkvwire.OpPut, Key: 1, Val: 7, TTL: time.Microsecond}, "doomed", true, true); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Submit(txkvwire.Req{Op: txkvwire.OpPut, Key: other, Val: 8}, "live", true, true); err != nil {
 		t.Fatal(err)
 	}
+	for srv.co.Pending() != 2 {
+		time.Sleep(100 * time.Microsecond)
+	}
+	release()
 
 	tag, _, reply, err := p.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tag != "holder" || reply.Err != "" {
+		t.Fatalf("holding put: tag=%v reply=%+v", tag, reply)
+	}
+	tag, _, reply, err = p.Recv()
 	if err != nil {
 		t.Fatal(err)
 	}

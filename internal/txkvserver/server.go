@@ -98,11 +98,13 @@ type Config struct {
 	// CoalesceBatch, when positive, turns on per-shard commit coalescing
 	// (DESIGN.md §14): single-key ops are routed to per-shard batchers
 	// that execute up to CoalesceBatch items as ONE engine transaction
-	// and ONE commit-log frame. Requires Threads + store shards ≤
-	// stm.MaxThreads (each shard gets a dedicated engine thread).
+	// and ONE commit-log frame. Batching is self-clocked: a batch is
+	// what queued while the previous flush ran. Requires Threads +
+	// store shards ≤ stm.MaxThreads (each shard gets a dedicated engine
+	// thread).
 	CoalesceBatch int
-	// CoalesceWait is the batcher's max wait before flushing an
-	// incomplete batch (default 200µs); ignored with coalescing off.
+	// Deprecated: CoalesceWait is ignored. Batchers no longer hold a
+	// batch open for company (DESIGN.md §14.1).
 	CoalesceWait time.Duration
 	// FeedCap is the per-shard change-feed ring capacity (default
 	// coalesce.DefaultFeedCap). The feed is always on: every committed
@@ -131,9 +133,6 @@ func (c *Config) fill() error {
 	}
 	if c.Pipeline < 1 {
 		return fmt.Errorf("txkvserver: pipeline window %d out of range (want ≥ 1)", c.Pipeline)
-	}
-	if c.CoalesceWait == 0 {
-		c.CoalesceWait = 200 * time.Microsecond
 	}
 	return nil
 }
@@ -289,7 +288,6 @@ func Start(addr string, cfg Config) (*Server, error) {
 		s.coM = coalesce.NewMetrics(s.m.reg)
 		s.co = coalesce.New(s.store, threads, s.wal, s.feeds, coalesce.Config{
 			BatchSize: cfg.CoalesceBatch,
-			MaxWait:   cfg.CoalesceWait,
 			Metrics:   s.coM,
 			Conflicts: s.m.recordConflicts,
 		})

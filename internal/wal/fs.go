@@ -104,6 +104,9 @@ var ErrInjected = errors.New("wal: injected fault")
 //   - FailSync n: the n-th Sync call fails with ErrInjected (the
 //     data may or may not be durable — the writer must treat the
 //     batch as not acknowledged either way).
+//   - Hold: the next Sync call stalls until released — a slow disk
+//     on demand, so a test can pin the log goroutine (and whoever
+//     waits on it) inside one fsync.
 //
 // Zero values disable a fault. Counters keep counting after a fault
 // fires, but each fault fires at most once.
@@ -113,6 +116,7 @@ type FaultFS struct {
 	mu         sync.Mutex
 	writeCalls int
 	syncCalls  int
+	hold       *syncHold
 
 	FailWrite  int
 	ShortWrite bool
@@ -142,6 +146,22 @@ func (f *FaultFS) Remove(path string) error             { return f.Base.Remove(p
 func (f *FaultFS) MkdirAll(dir string) error            { return f.Base.MkdirAll(dir) }
 func (f *FaultFS) SyncDir(dir string) error             { return f.Base.SyncDir(dir) }
 
+type syncHold struct {
+	held, release chan struct{}
+}
+
+// Hold arms a one-shot stall: the next Sync through this FS closes held
+// once it has started, then blocks until release is called. release is
+// idempotent.
+func (f *FaultFS) Hold() (held <-chan struct{}, release func()) {
+	h := &syncHold{held: make(chan struct{}), release: make(chan struct{})}
+	f.mu.Lock()
+	f.hold = h
+	f.mu.Unlock()
+	var once sync.Once
+	return h.held, func() { once.Do(func() { close(h.release) }) }
+}
+
 type faultFile struct {
 	fs *FaultFS
 	f  File
@@ -169,7 +189,13 @@ func (ff *faultFile) Sync() error {
 	fs.mu.Lock()
 	fs.syncCalls++
 	inject := fs.FailSync != 0 && fs.syncCalls == fs.FailSync
+	h := fs.hold
+	fs.hold = nil
 	fs.mu.Unlock()
+	if h != nil {
+		close(h.held)
+		<-h.release
+	}
 	if inject {
 		return ErrInjected
 	}

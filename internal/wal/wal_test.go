@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"swisstm/internal/obs"
 )
 
 func openTest(t *testing.T, opts Options) *Writer {
@@ -44,7 +46,7 @@ func payload(i int) []byte { return []byte(fmt.Sprintf("record-%04d", i)) }
 
 func TestAppendRecoverRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	w := openTest(t, Options{Dir: dir, Sync: SyncGroup, MaxWait: time.Millisecond})
+	w := openTest(t, Options{Dir: dir, Sync: SyncGroup})
 	const n = 50
 	for i := 1; i <= n; i++ {
 		if err := w.Append(payload(i)); err != nil {
@@ -192,7 +194,7 @@ func TestBitFlipStopsRecovery(t *testing.T) {
 
 func TestOutOfOrderPublishKeepsTicketOrder(t *testing.T) {
 	dir := t.TempDir()
-	w := openTest(t, Options{Dir: dir, Sync: SyncGroup, MaxWait: time.Millisecond})
+	w := openTest(t, Options{Dir: dir, Sync: SyncGroup})
 	t1, t2, t3 := w.Reserve(), w.Reserve(), w.Reserve()
 
 	var wg sync.WaitGroup
@@ -226,7 +228,7 @@ func TestOutOfOrderPublishKeepsTicketOrder(t *testing.T) {
 
 func TestAbandonUnblocksSequencer(t *testing.T) {
 	dir := t.TempDir()
-	w := openTest(t, Options{Dir: dir, Sync: SyncGroup, MaxWait: time.Millisecond})
+	w := openTest(t, Options{Dir: dir, Sync: SyncGroup})
 	t1, t2 := w.Reserve(), w.Reserve()
 
 	done := make(chan error, 1)
@@ -275,7 +277,7 @@ func TestInjectedShortWritePoisonsWriterAndKeepsPrefix(t *testing.T) {
 	// Write call 1 = magic of segment 1. Let two batches through,
 	// tear the third.
 	ffs := &FaultFS{Base: OSFS{}, FailWrite: 4, ShortWrite: true}
-	w := openTest(t, Options{Dir: dir, FS: ffs, Sync: SyncAlways})
+	w := openTest(t, Options{Dir: dir, FS: ffs, Sync: SyncGroup})
 	var acked int
 	var failed bool
 	for i := 1; i <= 10; i++ {
@@ -318,7 +320,7 @@ func TestInjectedFsyncErrorFailsPublish(t *testing.T) {
 	// Sync call 1 = segment creation. Fail the second fsync (first
 	// batch commit).
 	ffs := &FaultFS{Base: OSFS{}, FailSync: 2}
-	w := openTest(t, Options{Dir: dir, FS: ffs, Sync: SyncAlways})
+	w := openTest(t, Options{Dir: dir, FS: ffs, Sync: SyncGroup})
 	if err := w.Append(payload(1)); !errors.Is(err, ErrInjected) {
 		t.Fatalf("append under fsync fault: %v, want ErrInjected", err)
 	}
@@ -368,7 +370,7 @@ func TestSegmentGapStopsRecovery(t *testing.T) {
 
 func TestConcurrentPublishAbandonStress(t *testing.T) {
 	dir := t.TempDir()
-	w := openTest(t, Options{Dir: dir, Sync: SyncGroup, MaxWait: 100 * time.Microsecond, SegmentBytes: 4096})
+	w := openTest(t, Options{Dir: dir, Sync: SyncGroup, SegmentBytes: 4096})
 	const workers = 8
 	const perWorker = 100
 	published := make([][]uint64, workers)
@@ -419,17 +421,78 @@ func TestConcurrentPublishAbandonStress(t *testing.T) {
 	}
 }
 
+// TestSelfClockedGroupCommit pins the self-clocked group commit with
+// a held fsync: a lone frame goes straight to its fsync, frames
+// published while that fsync is held go out together in the next single
+// write+fsync, and wal_append_ns spans Publish → durable.
+func TestSelfClockedGroupCommit(t *testing.T) {
+	dir := t.TempDir()
+	ffs := &FaultFS{Base: OSFS{}}
+	m := NewMetrics(obs.NewRegistry())
+	w := openTest(t, Options{Dir: dir, FS: ffs, Metrics: m})
+
+	held, release := ffs.Hold()
+	defer release()
+	lone := make(chan error, 1)
+	go func() { lone <- w.Append(payload(1)) }()
+	// No window and no company: the lone frame reaches its fsync.
+	select {
+	case <-held:
+	case <-time.After(10 * time.Second):
+		t.Fatal("a lone frame never reached its fsync")
+	}
+
+	const n = 5
+	errs := make(chan error, n)
+	for i := 2; i <= n+1; i++ {
+		go func(i int) { errs <- w.Append(payload(i)) }(i)
+	}
+	for w.LastLSN() != n+1 { // all n admitted behind the held fsync
+		time.Sleep(100 * time.Microsecond)
+	}
+	const stall = 5 * time.Millisecond
+	time.Sleep(stall)
+	release()
+	if err := <-lone; err != nil {
+		t.Fatalf("lone frame: %v", err)
+	}
+	for i := 0; i < n; i++ {
+		if err := <-errs; err != nil {
+			t.Fatalf("grouped frame: %v", err)
+		}
+	}
+
+	bf := m.BatchFrames.Snapshot()
+	if bf.Count != 2 || bf.Buckets[obs.BucketIndex(1)] != 1 || bf.Buckets[obs.BucketIndex(n)] != 1 {
+		t.Fatalf("batch sizes: count=%d sum=%d, want one batch of 1 then one of %d", bf.Count, bf.Sum, n)
+	}
+	if got := m.FsyncNs.Snapshot().Count; got != 2 {
+		t.Fatalf("%d fsyncs, want 2 (the lone frame's, then one for the group)", got)
+	}
+	// Every publisher was waiting across the held fsync.
+	if ap := m.AppendNs.Snapshot(); ap.Count != n+1 || ap.Sum < uint64((n+1)*stall) {
+		t.Fatalf("append histogram count=%d sum=%v, want %d appends each spanning the %v stall",
+			ap.Count, time.Duration(ap.Sum), n+1, stall)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if info, _ := collect(t, nil, dir); info.Frames != n+1 || info.Truncated {
+		t.Fatalf("recover = %+v, want %d clean frames", info, n+1)
+	}
+}
+
 func TestParseSyncMode(t *testing.T) {
 	for _, tc := range []struct {
-		in   string
-		want SyncMode
-	}{{"always", SyncAlways}, {"group", SyncGroup}, {"none", SyncNone}} {
+		in, name string
+		want     SyncMode
+	}{{"group", "group", SyncGroup}, {"always", "group", SyncGroup}, {"none", "none", SyncNone}} {
 		got, err := ParseSyncMode(tc.in)
 		if err != nil || got != tc.want {
 			t.Fatalf("ParseSyncMode(%q) = %v, %v", tc.in, got, err)
 		}
-		if got.String() != tc.in {
-			t.Fatalf("SyncMode(%q).String() = %q", tc.in, got.String())
+		if got.String() != tc.name {
+			t.Fatalf("SyncMode(%q).String() = %q, want %q", tc.in, got.String(), tc.name)
 		}
 	}
 	if _, err := ParseSyncMode("sometimes"); err == nil {
