@@ -39,14 +39,14 @@ bench:
 # aborts/op, including the forced-conflict abort tier) of the core
 # engine micro-benchmarks and writes the machine-readable perf artifact
 # CI accumulates (non-gating; see DESIGN.md §7–§8).
-BENCH_JSON ?= BENCH_PR10.json
+BENCH_JSON ?= BENCH_PR13.json
 bench-json:
 	$(GO) run ./cmd/benchjson -out $(BENCH_JSON)
 
 # bench-compare diffs two bench-json artifacts per engine/workload:
-#   make bench-compare BENCH_OLD=BENCH_PR4.json BENCH_NEW=BENCH_PR5.json
-BENCH_OLD ?= BENCH_PR5.json
-BENCH_NEW ?= BENCH_PR7.json
+#   make bench-compare BENCH_OLD=BENCH_PR10.json BENCH_NEW=BENCH_PR13.json
+BENCH_OLD ?= BENCH_PR10.json
+BENCH_NEW ?= BENCH_PR13.json
 bench-compare:
 	$(GO) run ./cmd/benchcompare $(BENCH_OLD) $(BENCH_NEW)
 

@@ -86,7 +86,7 @@ import (
 )
 
 var (
-	out     = flag.String("out", "BENCH_PR10.json", "output JSON path")
+	out     = flag.String("out", "BENCH_PR13.json", "output JSON path")
 	repeats = flag.Int("repeats", 5, "repeats per benchmark (median reported)")
 	benchMs = flag.Int("benchms", 300, "target measurement time per repeat, milliseconds")
 	run     = flag.String("run", "", "regexp selecting workload names (empty = all)")

@@ -2,6 +2,7 @@ package bench7
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"swisstm/internal/cm"
@@ -134,5 +135,76 @@ func TestConcurrentMixedWorkloads(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestLongTraversalSnapshotUnderWriters pins the snapshot consistency of
+// long read-only traversals on the time-based engines. One thread
+// traverses while writers concurrently relink composites
+// (StructureMod), swap part coordinates (UpdateComponent) and bump every
+// composite's date (LongTraversalUpdate). A traversal re-reads the
+// stripes of shared composites and index nodes non-consecutively, so it
+// relies on extend() revalidating its earlier log entries. Every
+// committed LongTraversal must count exactly len(Bases) × compPerBase ×
+// AtomicPerComp parts, the structure writers preserve; and a read-only
+// transaction that walks the whole structure twice, summing dates and
+// coordinates, must read the same sum both times.
+func TestLongTraversalSnapshotUnderWriters(t *testing.T) {
+	for _, name := range []string{"swisstm", "tinystm"} {
+		t.Run(name, func(t *testing.T) {
+			b := Setup(engines()[name](), testConfig(60))
+			want := stm.Word(len(b.Bases) * compPerBase * b.Cfg.AtomicPerComp)
+			var stop atomic.Bool
+			var writes atomic.Int64
+			var wg sync.WaitGroup
+			for i, op := range []func(*Ops){(*Ops).StructureMod, (*Ops).UpdateComponent, (*Ops).LongTraversalUpdate} {
+				wg.Add(1)
+				go func(id int, op func(*Ops)) {
+					defer wg.Done()
+					o := b.NewOps(b.E.NewThread(id+2), util.NewRand(uint64(id)*31+3))
+					// Capped: aborted and committed StructureMods both
+					// consume arena words, which are never reclaimed.
+					for n := 0; n < 2000 && !stop.Load(); n++ {
+						op(o)
+						writes.Add(1)
+					}
+				}(i, op)
+			}
+			th := b.E.NewThread(1)
+			o := b.NewOps(th, util.NewRand(17))
+			ws := newWalkScratch(&b.Cfg)
+			walkSum := func(tx stm.TxRO) stm.Word {
+				var sum stm.Word
+				b.assemblyWalk(tx, func(comp stm.Handle) {
+					sum += tx.ReadField(comp, cpDate)
+					b.graphWalk(tx, comp, &ws, func(p stm.Handle) {
+						sum += 3*tx.ReadField(p, apX) + tx.ReadField(p, apY)
+					})
+				})
+				return sum
+			}
+			twice := func(tx stm.TxRO) bool {
+				first := walkSum(tx)
+				return walkSum(tx) == first
+			}
+			// Keep traversing until the writers have committed enough to
+			// interleave with many traversals, however they are scheduled.
+			for n := 0; n < 60 || writes.Load() < 300; n++ {
+				if got := o.LongTraversal(); got != want {
+					t.Errorf("traversal %d counted %d parts, want %d", n, got, want)
+				}
+				if !stm.AtomicRO(th, twice) {
+					t.Errorf("walk %d: a second pass in one transaction read a different sum", n)
+				}
+			}
+			stop.Store(true)
+			wg.Wait()
+			if err := b.Check(); err != nil {
+				t.Fatal(err)
+			}
+			s := th.Stats()
+			t.Logf("traversal thread: %d commits, %d aborts (%d read-validation); %d writer commits",
+				s.Commits, s.Aborts, s.AbortsValidRead, writes.Load())
+		})
 	}
 }

@@ -15,8 +15,10 @@ type TxnShard struct {
 	// aborted attempts preceded the commit (0 for first-try commits).
 	Retries Hist
 	// ReadSet and WriteSet are the read-/write-set sizes (entries
-	// logged) of committed transactions. Engines that keep no read
-	// log on a given path (TL2 declared read-only) record 0.
+	// logged) of committed transactions. ReadSet counts log entries,
+	// not distinct stripes: SwissTM and TinySTM log a non-consecutive
+	// re-read of a stripe again (DESIGN.md §7.1). Engines that keep
+	// no read log on a given path (TL2 declared read-only) record 0.
 	ReadSet  Hist
 	WriteSet Hist
 }

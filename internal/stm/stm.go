@@ -431,8 +431,8 @@ type Stats struct {
 	// in the structured results, not only in benchstat. Declared read-only
 	// transactions on TL2 log no reads at all (DESIGN.md §9.3), so their
 	// reads do not appear in ReadsLogged.
-	ReadsLogged     uint64 // read-log entries appended (distinct stripes when dedup is on)
-	ReadsDeduped    uint64 // transactional reads absorbed by the read-set dedup cache
+	ReadsLogged     uint64 // read-log entries appended, duplicates of non-consecutive re-reads included
+	ReadsDeduped    uint64 // re-reads of the newest logged stripe, absorbed without an entry (SwissTM, TinySTM)
 	Validations     uint64 // read-set validation passes (commit-time + extensions)
 	ValidationReads uint64 // read-log entries scanned across all validation passes
 }

@@ -11,7 +11,7 @@ import (
 // (DESIGN.md §9): once a thread's logs, pools and caches are warm,
 // committed transactions allocate nothing. It checks a value-returning
 // read-only transaction via both Atomic and the declared-read-only
-// AtomicRO fast path (with re-reads, so the dedup path is exercised) and
+// AtomicRO fast path (with a re-read, so the read-log path is exercised) and
 // — when updates is true — a small update transaction. Engines whose
 // design inherently allocates on writes (RSTM clones objects per
 // acquisition) pass updates=false and are only held to the read-only
@@ -36,7 +36,7 @@ func ZeroAllocSteadyState(t *testing.T, e stm.STM, wordAPI, updates bool) {
 			for i := stm.Addr(0); i < 8; i++ {
 				sum += tx.Load(base + i)
 			}
-			return sum + tx.Load(base) // re-read: dedup cache hit
+			return sum + tx.Load(base) // non-consecutive re-read: a duplicate log entry
 		}
 		roBodyRO = func(tx stm.TxRO) stm.Word {
 			var sum stm.Word
@@ -78,7 +78,7 @@ func ZeroAllocSteadyState(t *testing.T, e stm.STM, wordAPI, updates bool) {
 		}
 	}
 
-	// Warm the per-thread logs, write-entry pools and dedup cache.
+	// Warm the per-thread logs and write-entry pools.
 	var sink stm.Word
 	for i := 0; i < 100; i++ {
 		sink += stm.Atomic(th, roBody)

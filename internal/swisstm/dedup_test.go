@@ -13,8 +13,11 @@ func newDedupEngine() *Engine {
 	return New(Config{ArenaWords: 1 << 12, TableBits: 8, StripeWords: 4})
 }
 
-// TestDedupLogsStripeOnce: re-reading a stripe — same word or sibling
-// words — must append exactly one read-log entry.
+// TestDedupLogsStripeOnce: a re-read of the newest logged stripe — same
+// word or sibling word — appends no entry, while a non-consecutive
+// re-read appends a duplicate carrying the same r-lock as the first entry
+// for its stripe. For A, A', B repeated 10 times that is 20 entries
+// (A and B each round) and 10 deduped reads (every A').
 func TestDedupLogsStripeOnce(t *testing.T) {
 	e := newDedupEngine()
 	th := e.NewThread(0)
@@ -22,56 +25,83 @@ func TestDedupLogsStripeOnce(t *testing.T) {
 	base := e.arena.Alloc(8) // spans two 4-word stripes
 	stm.AtomicVoid(th, func(tx stm.Tx) {
 		for rep := 0; rep < 10; rep++ {
-			tx.Load(base)     // stripe A
-			tx.Load(base + 1) // stripe A again (sibling word)
+			tx.Load(base)     // stripe A (a duplicate entry after round 0)
+			tx.Load(base + 1) // stripe A again (sibling word): deduped
 			tx.Load(base + 4) // stripe B
 		}
-		if got := len(tx0.readLog); got != 2 {
-			t.Errorf("read log has %d entries, want 2 (one per distinct stripe)", got)
+		if got := len(tx0.readLog); got != 20 {
+			t.Errorf("read log has %d entries, want 20 (A and B once per round)", got)
+		}
+		first := map[uint32]uint64{}
+		for i, re := range tx0.readLog {
+			if f, ok := first[re.lockIdx]; !ok {
+				first[re.lockIdx] = re.rlock
+			} else if re.rlock != f {
+				t.Errorf("entry %d for stripe %d carries r-lock %d, first entry %d", i, re.lockIdx, re.rlock, f)
+			}
+		}
+		if len(first) != 2 {
+			t.Errorf("read log covers %d stripes, want 2", len(first))
 		}
 	})
 	s := th.Stats()
-	if s.ReadsLogged != 2 {
-		t.Errorf("ReadsLogged = %d, want 2", s.ReadsLogged)
+	if s.ReadsLogged != 20 {
+		t.Errorf("ReadsLogged = %d, want 20", s.ReadsLogged)
 	}
-	if s.ReadsDeduped != 28 {
-		t.Errorf("ReadsDeduped = %d, want 28 (30 reads, 2 logged)", s.ReadsDeduped)
+	if s.ReadsDeduped != 10 {
+		t.Errorf("ReadsDeduped = %d, want 10 (30 reads, 20 logged)", s.ReadsDeduped)
 	}
 }
 
 // TestDedupDoesNotMaskConflict: a conflicting commit between the first
-// and second read of one stripe must still abort the reader — the dedup
-// hit may only be taken when the observed r-lock matches the logged one.
-// (Equivalence with the pre-dedup engine: a duplicate entry with the
-// newer r-lock would force extend(), whose validation of the stale first
-// entry fails, aborting at the same point.)
+// and a later read of one stripe must abort the reader exactly once, and
+// the retry must see one consistent value. Two shapes: a consecutive
+// re-read (A, commit to A, A) hits the newest-entry check, which aborts
+// because the observed r-lock moved; a non-consecutive one (A, B, commit
+// to A, A) appends a duplicate whose r-lock is newer than the snapshot,
+// so extend() revalidates the stale first entry and fails. Both count
+// as AbortsValidRead.
 func TestDedupDoesNotMaskConflict(t *testing.T) {
-	e := newDedupEngine()
-	thA := e.NewThread(0)
-	thB := e.NewThread(1)
-	addr := e.arena.Alloc(1)
-	e.arena.Store(addr, 1)
+	for _, tc := range []struct {
+		name    string
+		between bool // read another stripe between the two reads of A
+	}{
+		{"consecutive", false},
+		{"non-consecutive", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := newDedupEngine()
+			thA := e.NewThread(0)
+			thB := e.NewThread(1)
+			addr := e.arena.Alloc(4)  // stripe A
+			other := e.arena.Alloc(4) // stripe B
+			e.arena.Store(addr, 1)
 
-	attempts := 0
-	var first, second stm.Word
-	stm.AtomicVoid(thA, func(tx stm.Tx) {
-		attempts++
-		first = tx.Load(addr)
-		if attempts == 1 {
-			// Inject a conflicting commit from another thread while the
-			// stripe is already in A's read log.
-			stm.AtomicVoid(thB, func(txB stm.Tx) { txB.Store(addr, 2) })
-		}
-		second = tx.Load(addr)
-	})
-	if attempts != 2 {
-		t.Fatalf("transaction ran %d attempts, want 2 (abort + clean retry)", attempts)
-	}
-	if first != second || first != 2 {
-		t.Fatalf("committed attempt saw %d then %d, want consistent 2", first, second)
-	}
-	if s := thA.Stats(); s.AbortsValid == 0 {
-		t.Errorf("expected the injected conflict to count as a validation abort, got %+v", s)
+			attempts := 0
+			var first, second stm.Word
+			stm.AtomicVoid(thA, func(tx stm.Tx) {
+				attempts++
+				first = tx.Load(addr)
+				if tc.between {
+					tx.Load(other)
+				}
+				if attempts == 1 {
+					// Inject a conflicting commit from another thread
+					// while the stripe is already in A's read log.
+					stm.AtomicVoid(thB, func(txB stm.Tx) { txB.Store(addr, 2) })
+				}
+				second = tx.Load(addr)
+			})
+			if attempts != 2 {
+				t.Fatalf("transaction ran %d attempts, want 2 (abort + clean retry)", attempts)
+			}
+			if first != second || first != 2 {
+				t.Fatalf("committed attempt saw %d then %d, want consistent 2", first, second)
+			}
+			if s := thA.Stats(); s.AbortsValidRead == 0 {
+				t.Errorf("expected the injected conflict to count as a read validation abort, got %+v", s)
+			}
+		})
 	}
 }
 

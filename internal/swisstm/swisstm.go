@@ -248,7 +248,6 @@ type txn struct {
 	writeLog  []*wEntry
 	pool      []*wEntry
 	poolIdx   int
-	rc        util.StripeCache // read-set dedup cache (DESIGN.md §7)
 	rng       *util.Rand
 	succ      int           // successive aborts of the current logical transaction
 	quiesceTS uint64        // commit timestamp to quiesce on (privatization safety)
@@ -270,7 +269,6 @@ func (e *Engine) NewThread(id int) stm.Thread {
 		rng:      util.NewRand(uint64(id)*0x9e3779b9 + 1),
 	}
 	t.roV.t = t
-	t.rc.Init(1024)
 	t.cmTS.Store(infinity)
 	if e.cfg.Obs != nil {
 		t.obsh = e.cfg.Obs.Shard(id)
@@ -397,7 +395,6 @@ func (t *txn) begin(restart bool) {
 	t.readLog = t.readLog[:0]
 	t.writeLog = t.writeLog[:0]
 	t.poolIdx = 0
-	t.rc.Reset()
 	if !restart {
 		switch t.e.cfg.Policy {
 		case Greedy:
@@ -409,8 +406,7 @@ func (t *txn) begin(restart bool) {
 }
 
 // beginRO starts a declared read-only attempt (DESIGN.md §9.3): snapshot
-// the commit counter, reset the read log and dedup cache — and nothing
-// else. The write log is invariantly empty between transactions (commit
+// the commit counter, reset the read log — and nothing else. The write log is invariantly empty between transactions (commit
 // and abort both truncate it), a read-only transaction never installs a
 // w-lock so no CM can kill it (status and cmTS stay untouched), and the
 // write-entry pool cursor only matters to writers.
@@ -420,7 +416,6 @@ func (t *txn) beginRO() {
 		t.e.activity[t.id].Store(t.validTS + 1)
 	}
 	t.readLog = t.readLog[:0]
-	t.rc.Reset()
 }
 
 func (t *txn) killed() bool { return t.status.Load() != 0 }
@@ -488,28 +483,16 @@ func (t *txn) load(a stm.Addr) (stm.Word, bool) {
 			break
 		}
 	}
-	// Read-set dedup: a stripe already in the read log needs no second
-	// entry. If the observed r-lock still matches the logged one the read
-	// is consistent with the first; if it moved, the first read is stale,
-	// every future extension would fail on its entry, and the only
-	// difference from logging a duplicate is that we abort now instead of
-	// at the next validation (see dedup_test.go for the equivalence
-	// argument). validate()/extend() therefore scale with *distinct*
-	// stripes, not total reads. Consecutive reads of one stripe — field
-	// walks over one object — are caught by comparing against the newest
-	// log entry before touching the hash cache.
+	// Newest-entry dedup: consecutive reads of one stripe — field walks
+	// over one object — need no second entry. If the observed r-lock
+	// still matches the newest logged one the read is consistent with
+	// it; if it moved, that entry can never validate again, so abort now
+	// instead of at the next extension. A non-consecutive re-read appends
+	// a duplicate entry (Algorithm 1 as written): a moved stripe carries a
+	// version > valid-ts, so extend() revalidates the older entry and
+	// fails (DESIGN.md §7.1, dedup_test.go).
 	if n := len(t.readLog); n != 0 && t.readLog[n-1].lockIdx == idx {
 		if t.readLog[n-1].rlock == v1 {
-			t.stats.ReadsDeduped++
-			return val, true
-		}
-		t.stats.AbortsValid++
-		t.stats.AbortsValidRead++
-		t.abort()
-		return 0, false
-	}
-	if pos, found := t.rc.LookupOrInsert(idx, uint32(len(t.readLog))); found {
-		if t.readLog[pos].rlock == v1 {
 			t.stats.ReadsDeduped++
 			return val, true
 		}
@@ -553,19 +536,9 @@ func (t *txn) loadRO(a stm.Addr) (stm.Word, bool) {
 			break
 		}
 	}
-	// Same read-set dedup discipline as load (DESIGN.md §7).
+	// Same newest-entry dedup as load (DESIGN.md §7.1).
 	if n := len(t.readLog); n != 0 && t.readLog[n-1].lockIdx == idx {
 		if t.readLog[n-1].rlock == v1 {
-			t.stats.ReadsDeduped++
-			return val, true
-		}
-		t.stats.AbortsValid++
-		t.stats.AbortsValidRead++
-		t.abort()
-		return 0, false
-	}
-	if pos, found := t.rc.LookupOrInsert(idx, uint32(len(t.readLog))); found {
-		if t.readLog[pos].rlock == v1 {
 			t.stats.ReadsDeduped++
 			return val, true
 		}

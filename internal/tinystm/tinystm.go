@@ -147,7 +147,6 @@ type txn struct {
 	writeLog []*wEntry
 	pool     []*wEntry
 	poolIdx  int
-	rc       util.StripeCache // read-set dedup cache (DESIGN.md §7)
 	rng      *util.Rand
 	succ     int
 	roV      roTx          // pre-allocated read-only view returned by Begin(ReadOnly)
@@ -168,7 +167,6 @@ func (e *Engine) NewThread(id int) stm.Thread {
 		rng:      util.NewRand(uint64(id)*0xabcd1234 + 3),
 	}
 	t.roV.t = t
-	t.rc.Init(1024)
 	if e.cfg.Obs != nil {
 		t.obsh = e.cfg.Obs.Shard(id)
 	}
@@ -192,7 +190,6 @@ func (t *txn) Begin(mode stm.Mode, restart bool) stm.Tx {
 		t.ro = true
 		t.validTS = t.e.clock.Load()
 		t.readLog = t.readLog[:0]
-		t.rc.Reset()
 		return &t.roV
 	}
 	t.ro = false
@@ -245,7 +242,6 @@ func (t *txn) begin() {
 	t.readLog = t.readLog[:0]
 	t.writeLog = t.writeLog[:0]
 	t.poolIdx = 0
-	t.rc.Reset()
 }
 
 // abort performs the rollback bookkeeping without deciding the delivery
@@ -326,25 +322,14 @@ func (t *txn) load(a stm.Addr) (stm.Word, bool) {
 			runtime.Gosched()
 			continue
 		}
-		// Read-set dedup: log each stripe once. A matching version means
-		// the re-read is consistent with the logged entry; a moved
-		// version means the logged entry can never validate again, so
-		// abort now rather than at the next extension (the outcome the
-		// duplicate entry would force anyway; see dedup_test.go).
-		// Consecutive same-stripe reads hit the newest log entry without
-		// touching the hash cache.
+		// Newest-entry dedup: a re-read of the newest logged stripe
+		// logs nothing when its version matches, and aborts at once
+		// when it moved (that entry can never validate again). A
+		// non-consecutive re-read appends a duplicate entry; a moved
+		// stripe's version is then > valid-ts, so extend() fails on the
+		// older entry (DESIGN.md §7.1, dedup_test.go).
 		if n := len(t.readLog); n != 0 && t.readLog[n-1].idx == idx {
 			if t.readLog[n-1].ver == v1 {
-				t.stats.ReadsDeduped++
-				return val, true
-			}
-			t.stats.AbortsValid++
-			t.stats.AbortsValidRead++
-			t.abort()
-			return 0, false
-		}
-		if pos, found := t.rc.LookupOrInsert(idx, uint32(len(t.readLog))); found {
-			if t.readLog[pos].ver == v1 {
 				t.stats.ReadsDeduped++
 				return val, true
 			}
@@ -388,19 +373,9 @@ func (t *txn) loadRO(a stm.Addr) (stm.Word, bool) {
 			runtime.Gosched()
 			continue
 		}
-		// Same read-set dedup discipline as load (DESIGN.md §7).
+		// Same newest-entry dedup as load (DESIGN.md §7.1).
 		if n := len(t.readLog); n != 0 && t.readLog[n-1].idx == idx {
 			if t.readLog[n-1].ver == v1 {
-				t.stats.ReadsDeduped++
-				return val, true
-			}
-			t.stats.AbortsValid++
-			t.stats.AbortsValidRead++
-			t.abort()
-			return 0, false
-		}
-		if pos, found := t.rc.LookupOrInsert(idx, uint32(len(t.readLog))); found {
-			if t.readLog[pos].ver == v1 {
 				t.stats.ReadsDeduped++
 				return val, true
 			}
